@@ -52,6 +52,12 @@ const GOLDEN: &[(&str, &[&str])] = &[
     // both static fleets. Pinning it freezes the attainment gap, the
     // migrated-byte count and the GPU-seconds bill.
     ("elastic_sweep", &[include_str!("../../../tests/golden/elastic_sweep.csv")]),
+    // The heterogeneous-fleet × routing × admission grid and the CI-sized
+    // event-core trace: both run the scheduler tick and page ledger
+    // (`make_room`, `decode_step`, `PageBudget::grow`) under sustained
+    // overload, so a rewrite of that hot path must reproduce them exactly.
+    ("hetero_sweep", &[include_str!("../../../tests/golden/hetero_sweep.csv")]),
+    ("mega_sweep_smoke", &[include_str!("../../../tests/golden/mega_sweep_smoke.csv")]),
 ];
 
 #[test]
