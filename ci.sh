@@ -29,6 +29,14 @@ QSERVE_THREADS=1 cargo test -q --offline --locked --workspace --release
 # this fails naming the experiment that drifted).
 QSERVE_THREADS=4 cargo test -q --offline --locked --release -p qserve-bench --test golden_snapshots
 
+# The repository benchmark at smoke size: builds perfbench against this
+# checkout and runs every workload untraced and traced, so an API change
+# that breaks its build, its replay fidelity or its output checks fails
+# here. A fresh state dir keeps a digest stored by an older commit from
+# tripping the same-seed reproducibility check.
+python3 perfbench/run.py --size tiny --workload all --seed 20240603 --seconds 1 --trace 1 \
+    --state-dir "$(mktemp -d)" >/dev/null
+
 # Thread-scaling smoke: runs the same trace at 1/2/4 pool threads,
 # asserts the reports are identical, and writes the machine-readable
 # baseline to results/BENCH_par_scaling.json.

@@ -42,6 +42,7 @@
 use crate::engine::{EngineUnavailable, ServingEngine, SpeedProfile, TickScratch};
 use crate::event::EventQueue;
 use crate::fault::{Fault, FaultKind, FaultPlan, Lifecycle};
+use crate::host_tier::HOST_TIER_PAGES_PER_DEVICE_PAGE;
 use crate::report::{aggregate, MigrationTotals, ReplicaSlice};
 use crate::request::{Request, WorkloadSpec};
 use crate::scheduler::{
@@ -352,10 +353,7 @@ impl Cluster {
             .map(|(i, engine)| -> Result<Replica, EngineUnavailable> {
                 let (mut budget, batch_limit) = engine.paged_budget(spec, reservation)?;
                 if opts.preemption == PreemptionMode::Swap {
-                    // Host DRAM dwarfs device HBM; 4× the device pool is a
-                    // deliberately generous tier so swap policy, not host
-                    // capacity, decides preemption outcomes.
-                    budget.enable_host_tier(4 * budget.total_pages());
+                    budget.enable_host_tier(HOST_TIER_PAGES_PER_DEVICE_PAGE * budget.total_pages());
                 }
                 Ok(Replica {
                     engine: engine.clone(),

@@ -18,6 +18,7 @@
 //! (heterogeneous fleets) changes a single code path.
 
 use crate::baselines::SystemConfig;
+use crate::host_tier::HOST_TIER_PAGES_PER_DEVICE_PAGE;
 use crate::memory::MemoryPlan;
 use crate::request::{Request, RequestId, WorkloadSpec};
 use crate::scheduler::{
@@ -761,10 +762,7 @@ impl ServingEngine {
             KvModel::Paged(reservation) => {
                 let (mut budget, optimistic) = self.paged_budget(spec, reservation)?;
                 if cfg.opts.preemption == PreemptionMode::Swap {
-                    // Host DRAM dwarfs device HBM: a generous 4× tier so
-                    // swap policy, not host capacity, decides outcomes
-                    // (mirrors the cluster's replica sizing).
-                    budget.enable_host_tier(4 * budget.total_pages());
+                    budget.enable_host_tier(HOST_TIER_PAGES_PER_DEVICE_PAGE * budget.total_pages());
                 }
                 let limit = match cfg.batch {
                     BatchLimit::Fixed(n) => n,
@@ -829,14 +827,6 @@ impl ServingEngine {
         self.serve(spec, policy, ServeConfig::paged(reservation).with_opts(opts))
     }
 
-    /// Sizes the page ledger and the optimistic batch limit this engine
-    /// uses for paged serving of `spec` — the sizing behind
-    /// [`ServingEngine::run_workload_paged_with`], shared with
-    /// [`crate::cluster`] so every replica mirrors the single-engine math.
-    ///
-    /// # Errors
-    /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
-    /// the whole page pool.
     /// Bytes one simulated KV page holds: [`SIM_PAGE_TOKENS`] tokens of one
     /// layer's K+V at this engine's KV precision — what a page's trip over
     /// the host link is priced at.
@@ -846,6 +836,14 @@ impl ServingEngine {
         page_tokens * self.plan.kv_bytes_per_token / layers
     }
 
+    /// Sizes the page ledger and the optimistic batch limit this engine
+    /// uses for paged serving of `spec` — the sizing behind
+    /// [`ServingEngine::run_workload_paged_with`], shared with
+    /// [`crate::cluster`] so every replica mirrors the single-engine math.
+    ///
+    /// # Errors
+    /// [`EngineUnavailable::OutOfMemory`] when a worst-case request exceeds
+    /// the whole page pool.
     pub fn paged_budget(
         &self,
         spec: &WorkloadSpec,

@@ -17,6 +17,12 @@ use std::collections::BTreeMap;
 
 use crate::request::RequestId;
 
+/// Host-tier pages attached per device page when a simulated engine or
+/// cluster replica serves with swap preemption. Host DRAM dwarfs device
+/// HBM, so the tier is deliberately generous: swap policy, not host
+/// capacity, decides preemption outcomes.
+pub const HOST_TIER_PAGES_PER_DEVICE_PAGE: usize = 4;
+
 /// What one swapped-out request holds in host memory — everything needed
 /// to rebuild its device-side [`crate::PageBudget`] entry on swap-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

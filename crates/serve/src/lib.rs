@@ -86,7 +86,7 @@ pub use engine::{
 };
 pub use event::EventQueue;
 pub use fault::{Fault, FaultKind, FaultPlan, Lifecycle};
-pub use host_tier::{HostTier, SwappedEntry};
+pub use host_tier::{HostTier, SwappedEntry, HOST_TIER_PAGES_PER_DEVICE_PAGE};
 pub use kv_cache::{KvPageExport, PagedKvCache, SequenceId};
 pub use prefix::PrefixIndex;
 pub use request::{

@@ -23,7 +23,7 @@
 //! }
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::host_tier::{HostTier, SwappedEntry};
 use crate::request::{Request, RequestId, RequestState};
@@ -138,6 +138,20 @@ struct PageEntry {
     group: Option<u64>,
 }
 
+/// The null link of the slab's intrusive list.
+const NIL: usize = usize::MAX;
+
+/// One slab cell of a [`PageBudget`]: a resident's entry plus its links on
+/// the admission-order list. A freed cell keeps stale contents until it is
+/// reused; only the id index and the list say which cells are live.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: RequestId,
+    entry: PageEntry,
+    prev: usize,
+    next: usize,
+}
+
 /// One prefix-sharing group's pooled pages: charged once, refcounted by the
 /// resident group members — the ledger twin of the cache's page refcounts.
 #[derive(Debug, Clone, Copy)]
@@ -150,6 +164,18 @@ struct SharedPool {
 /// (fixed pool of fixed-size pages, one page table per layer, refcounted
 /// prefix sharing) without storing bytes — the memory model the scheduler
 /// admits and preempts against.
+///
+/// Resident entries live in a slab (`slots` plus a free-slot list), with a
+/// `RequestId → slot` index serving admit, release, swap and the audit.
+/// Live slots are threaded on an intrusive list in admission order:
+/// admission and swap-in append, release and swap-out unlink. That is
+/// exactly the order of [`Scheduler::running`], so the scheduler's
+/// per-tick `grow` walk visits the list front to back. `grow` therefore
+/// first tries a cursor left on the slot after the last one grown, and
+/// falls back to the index only when that slot belongs to another id (a
+/// resident still chunk-prefilling, say). The hint is always checked
+/// against the id, so a miss costs one index lookup, never correctness:
+/// growth is O(1) on the hot path instead of a map walk per resident.
 #[derive(Debug, Clone)]
 pub struct PageBudget {
     page_tokens: usize,
@@ -158,8 +184,19 @@ pub struct PageBudget {
     free_pages: usize,
     peak_used: usize,
     mode: Reservation,
-    entries: std::collections::BTreeMap<RequestId, PageEntry>,
-    pools: std::collections::BTreeMap<u64, SharedPool>,
+    /// Entry slab; a slot is live iff `index` maps some id to it.
+    slots: Vec<Slot>,
+    /// Dead slots awaiting reuse (LIFO).
+    free_slots: Vec<usize>,
+    /// Live id → slot.
+    index: BTreeMap<RequestId, usize>,
+    /// Ends of the admission-order list of live slots (`NIL` when empty).
+    head: usize,
+    tail: usize,
+    /// The slot after the last one grown (`NIL` or a live slot) — the
+    /// verified hint [`KvBudget::grow`] tries before the index.
+    cursor: usize,
+    pools: BTreeMap<u64, SharedPool>,
     /// Pools holding a control-plane *anchor* reference: prefix pages
     /// imported by a cross-replica migration stay resident (and the pool
     /// alive) even before the first local member admits, and between
@@ -182,8 +219,13 @@ impl PageBudget {
             free_pages: total_pages,
             peak_used: 0,
             mode,
-            entries: std::collections::BTreeMap::new(),
-            pools: std::collections::BTreeMap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            index: BTreeMap::new(),
+            head: NIL,
+            tail: NIL,
+            cursor: NIL,
+            pools: BTreeMap::new(),
             anchors: std::collections::BTreeSet::new(),
             host: None,
         }
@@ -231,16 +273,19 @@ impl PageBudget {
     /// Audits the ledger from first principles: the free count must equal
     /// the total minus every resident's private reservation and every
     /// shared pool's pages, and each pool's refcount must equal the number
-    /// of resident entries referencing it. Preemption/re-admission
-    /// regression tests call this step-wise; it is `assert!`-based, so it
-    /// bites in release builds too.
+    /// of resident entries referencing it. The slab is audited too: the id
+    /// index, the admission-order list and the free-slot list must
+    /// partition the slots, the list's `prev`/`next` links must be
+    /// symmetric, and the grow cursor must be `NIL` or a live slot.
+    /// Preemption/re-admission regression tests call this step-wise; it is
+    /// `assert!`-based, so it bites in release builds too.
     ///
     /// # Panics
     /// Panics on any drift between the counters and the entry/pool maps.
     pub fn assert_consistent(&self) {
+        self.assert_slab_consistent();
         let reserved: usize = self
-            .entries
-            .values()
+            .entries()
             .map(|e| e.reserved_per_layer * self.layers)
             .sum();
         let pooled: usize = self
@@ -262,7 +307,7 @@ impl PageBudget {
             // prefix pages stay on device even while the private pages sit
             // in the host tier. A migration anchor is one more reference,
             // held by the control plane rather than a member.
-            let resident = self.entries.values().filter(|e| e.group == Some(*g)).count();
+            let resident = self.entries().filter(|e| e.group == Some(*g)).count();
             let swapped = self
                 .host
                 .as_ref()
@@ -278,7 +323,7 @@ impl PageBudget {
         for g in &self.anchors {
             assert!(self.pools.contains_key(g), "anchor references a dead pool {}", g);
         }
-        for e in self.entries.values() {
+        for e in self.entries() {
             if let Some(g) = e.group {
                 assert!(self.pools.contains_key(&g), "entry references a dead pool {}", g);
             }
@@ -287,7 +332,7 @@ impl PageBudget {
             host.assert_consistent();
             for (id, e) in host.entries() {
                 assert!(
-                    !self.entries.contains_key(&id),
+                    !self.index.contains_key(&id),
                     "request {:?} is both resident and swapped out",
                     id
                 );
@@ -300,6 +345,107 @@ impl PageBudget {
                 }
             }
         }
+    }
+
+    /// The slab half of [`PageBudget::assert_consistent`]: walks the
+    /// admission-order list from `head`, checking link symmetry and that
+    /// every listed slot is indexed under its own id, then checks that the
+    /// list, the index and the free-slot list partition the slab.
+    fn assert_slab_consistent(&self) {
+        let mut listed = vec![false; self.slots.len()];
+        let mut len = 0usize;
+        let mut prev = NIL;
+        let mut at = self.head;
+        while at != NIL {
+            assert!(at < self.slots.len(), "slab link {} out of bounds", at);
+            assert!(!listed[at], "slab list revisits slot {}", at);
+            listed[at] = true;
+            let slot = &self.slots[at];
+            assert_eq!(slot.prev, prev, "slab prev/next asymmetry at slot {}", at);
+            assert_eq!(
+                self.index.get(&slot.id),
+                Some(&at),
+                "slab slot {} ({:?}) is listed but not indexed there",
+                at,
+                slot.id
+            );
+            len += 1;
+            prev = at;
+            at = slot.next;
+        }
+        assert_eq!(self.tail, prev, "slab tail is not the list's last slot");
+        assert_eq!(len, self.index.len(), "slab list length != index length");
+        assert!(
+            self.cursor == NIL || listed.get(self.cursor) == Some(&true),
+            "grow cursor {} is not a live slot",
+            self.cursor
+        );
+        for &s in &self.free_slots {
+            assert!(s < self.slots.len(), "free slot {} out of bounds", s);
+            assert!(!listed[s], "slot {} is both live and free", s);
+            listed[s] = true;
+        }
+        assert_eq!(
+            len + self.free_slots.len(),
+            self.slots.len(),
+            "slab slots leaked: {} live + {} free != {}",
+            len,
+            self.free_slots.len(),
+            self.slots.len()
+        );
+    }
+
+    /// Resident entries, in index (id) order.
+    fn entries(&self) -> impl Iterator<Item = &PageEntry> {
+        self.index.values().map(|&s| &self.slots[s].entry)
+    }
+
+    /// Appends a resident entry for `id` at the tail of the admission-order
+    /// list, reusing a dead slot when one exists. Returns `false` (and
+    /// changes nothing) when `id` is already resident.
+    fn link(&mut self, id: RequestId, entry: PageEntry) -> bool {
+        let std::collections::btree_map::Entry::Vacant(vacant) = self.index.entry(id) else {
+            return false;
+        };
+        let slot = Slot { id, entry, prev: self.tail, next: NIL };
+        let at = match self.free_slots.pop() {
+            Some(at) => {
+                self.slots[at] = slot;
+                at
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        vacant.insert(at);
+        match self.tail {
+            NIL => self.head = at,
+            t => self.slots[t].next = at,
+        }
+        self.tail = at;
+        true
+    }
+
+    /// Removes `id`'s entry from the index and the list and frees its slot;
+    /// a cursor resting on it moves to its successor. `None` when `id` is
+    /// not resident.
+    fn unlink(&mut self, id: RequestId) -> Option<PageEntry> {
+        let at = self.index.remove(&id)?;
+        let Slot { entry, prev, next, .. } = self.slots[at];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+        if self.cursor == at {
+            self.cursor = next;
+        }
+        self.free_slots.push(at);
+        Some(entry)
     }
 
     /// Pages one sequence of `tokens` needs per layer.
@@ -433,7 +579,7 @@ impl KvBudget for PageBudget {
             });
             pool.refs += 1;
         }
-        let prev = self.entries.insert(
+        let linked = self.link(
             id,
             PageEntry {
                 tokens: start_tokens
@@ -443,32 +589,39 @@ impl KvBudget for PageBudget {
                 group,
             },
         );
-        assert!(prev.is_none(), "request {:?} admitted twice", id);
+        assert!(linked, "request {:?} admitted twice", id);
         true
     }
 
     fn grow(&mut self, id: RequestId) -> bool {
-        let layers = self.layers;
-        let page_tokens = self.page_tokens;
-        let entry = self.entries.get_mut(&id).expect("grow() on unadmitted request");
+        let at = match self.slots.get(self.cursor) {
+            Some(slot) if slot.id == id => self.cursor,
+            _ => *self.index.get(&id).expect("grow() on unadmitted request"),
+        };
+        let slot = &mut self.slots[at];
+        let entry = &mut slot.entry;
         entry.tokens += 1;
-        let need_per_layer = entry.tokens.div_ceil(page_tokens);
+        let need_per_layer = entry.tokens.div_ceil(self.page_tokens);
         if need_per_layer <= entry.reserved_per_layer {
+            self.cursor = slot.next;
             return true;
         }
-        let need = (need_per_layer - entry.reserved_per_layer) * layers;
+        let need = (need_per_layer - entry.reserved_per_layer) * self.layers;
         if need > self.free_pages {
             entry.tokens =
                 entry.tokens.checked_sub(1).expect("grow() rollback on an empty entry");
+            // The caller evicts a victim and retries this same id.
+            self.cursor = at;
             return false;
         }
-        self.entries.get_mut(&id).unwrap().reserved_per_layer = need_per_layer;
+        entry.reserved_per_layer = need_per_layer;
+        self.cursor = slot.next;
         self.take(need);
         true
     }
 
     fn release(&mut self, id: RequestId) {
-        if let Some(entry) = self.entries.remove(&id) {
+        if let Some(entry) = self.unlink(id) {
             self.free_pages += entry.reserved_per_layer * self.layers;
             if let Some(g) = entry.group {
                 self.unref_pool(g);
@@ -487,14 +640,14 @@ impl KvBudget for PageBudget {
 
     fn swap_out(&mut self, id: RequestId) -> Option<usize> {
         // No tier attached → the caller falls back to recompute.
-        self.host.as_ref()?;
-        let entry = self.entries.get(&id).expect("swap_out() on unadmitted request");
-        let pages = entry.reserved_per_layer * self.layers;
-        let host = self.host.as_mut().expect("checked above");
-        if pages > host.free_pages() {
+        let host_free = self.host.as_ref()?.free_pages();
+        let at = *self.index.get(&id).expect("swap_out() on unadmitted request");
+        let pages = self.slots[at].entry.reserved_per_layer * self.layers;
+        if pages > host_free {
             return None;
         }
-        let entry = self.entries.remove(&id).expect("checked above");
+        let entry = self.unlink(id).expect("checked above");
+        let host = self.host.as_mut().expect("checked above");
         host.park(
             id,
             SwappedEntry {
@@ -521,7 +674,7 @@ impl KvBudget for PageBudget {
         }
         let swapped = host.take(id);
         self.take(pages);
-        let prev = self.entries.insert(
+        let linked = self.link(
             id,
             PageEntry {
                 tokens: swapped.tokens,
@@ -529,7 +682,7 @@ impl KvBudget for PageBudget {
                 group: swapped.group,
             },
         );
-        assert!(prev.is_none(), "request {:?} swapped in while already resident", id);
+        assert!(linked, "request {:?} swapped in while already resident", id);
         Some(pages)
     }
 
@@ -788,11 +941,6 @@ pub struct Scheduler {
     /// Streaming end-to-end latency accumulator, fed once per retirement
     /// with the same `latency_s()` float the exact path reads later.
     latency_sketch: PercentileSketch,
-    /// Reusable survivor buffer for the retirement compaction in
-    /// [`Scheduler::decode_step_into`] — swapped with `running` so a tick
-    /// that retires requests does one stable pass instead of O(batch) moves
-    /// per `Vec::remove`.
-    retire_scratch: Vec<Request>,
 }
 
 /// Tokens of work still owed to one queued or running request.
@@ -867,7 +1015,6 @@ impl Scheduler {
             warm_prefixes: std::collections::BTreeMap::new(),
             migration_time: 0.0,
             latency_sketch: PercentileSketch::new(),
-            retire_scratch: Vec::new(),
         }
     }
 
@@ -1418,6 +1565,12 @@ impl Scheduler {
     /// Allocation-free twin of [`Scheduler::decode_step`]: clears and
     /// refills `done` with the retired ids.
     ///
+    /// Advance, stamp and retire happen in one in-order pass over the
+    /// running batch that compacts it in place: survivors keep their
+    /// admission order, and retirees are released and pushed to `done` and
+    /// the finished list in that same order. A tick that retires nothing
+    /// moves no request.
+    ///
     /// # Panics
     /// Panics if no resident is ready to decode.
     pub fn decode_step_into(
@@ -1426,19 +1579,14 @@ impl Scheduler {
         budget: &mut dyn KvBudget,
         done: &mut Vec<RequestId>,
     ) {
-        assert!(
-            self.running.iter().any(|r| r.prefill_remaining() == 0),
-            "decode_step with no decodable resident"
-        );
         self.clock += dt;
         self.decode_time += dt;
         let clock = self.clock;
         done.clear();
         let mut decoded = 0usize;
-        let mut retiring = false;
-        for r in &mut self.running {
+        let retiring = self.running.extract_if(.., |r| {
             if r.prefill_remaining() > 0 {
-                continue;
+                return false;
             }
             r.seq_len += 1;
             r.generated += 1;
@@ -1449,34 +1597,22 @@ impl Scheduler {
             if r.first_token_s.is_none() {
                 r.first_token_s = Some(clock);
             }
-            retiring |= r.generated == r.output_len;
+            // Only a token decoded this tick can satisfy this (residents
+            // never linger at their output length across ticks).
+            r.generated == r.output_len
+        });
+        for mut req in retiring {
+            budget.release(req.id);
+            req.state = RequestState::Finished;
+            req.finish_s = Some(clock);
+            // A retiring request owes nothing (its final token was just
+            // counted), so only the sketch needs feeding here — with the
+            // very float the exact path reads from `finished` later.
+            self.latency_sketch.insert(req.latency_s().expect("finished"));
+            done.push(req.id);
+            self.finished.push(req);
         }
-        if retiring {
-            // Stable single-pass compaction: survivors keep their admission
-            // order and retirements land in `done`/`finished` in that same
-            // order, exactly as the old per-index `Vec::remove` loop did —
-            // without shifting the tail once per retirement.
-            self.retire_scratch.clear();
-            for mut req in self.running.drain(..) {
-                // Only a token decoded this tick can satisfy this (residents
-                // never linger at their output length across ticks).
-                if req.generated == req.output_len {
-                    budget.release(req.id);
-                    req.state = RequestState::Finished;
-                    req.finish_s = Some(clock);
-                    // A retiring request owes nothing (its final token was
-                    // just counted), so only the sketch needs feeding here —
-                    // with the very float the exact path reads from
-                    // `finished` later.
-                    self.latency_sketch.insert(req.latency_s().expect("finished"));
-                    done.push(req.id);
-                    self.finished.push(req);
-                } else {
-                    self.retire_scratch.push(req);
-                }
-            }
-            std::mem::swap(&mut self.running, &mut self.retire_scratch);
-        }
+        assert!(decoded > 0, "decode_step with no decodable resident");
         self.outstanding = self
             .outstanding
             .checked_sub(decoded)
